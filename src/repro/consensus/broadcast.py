@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.consensus.messages import ConsensusMessage, MsgKind
+from repro.consensus.messages import ConsensusMessage, MsgKind, sender_bits
 from repro.crypto.hashing import hash_items
 
 
@@ -31,15 +31,29 @@ def _digest(payload: Any) -> bytes:
 
 
 @dataclass(slots=True)
+class _DigestVotes:
+    """ECHO and READY voters for one payload digest as sender bitmasks
+    (bit i = validator i voted), plus the payload once known."""
+
+    echo: int = 0
+    ready: int = 0
+    payload: Any = None
+
+
+@dataclass(slots=True)
 class _SlotState:
     """State for one broadcaster slot."""
 
-    echo_senders: dict[bytes, set[int]] = field(default_factory=dict)
-    ready_senders: dict[bytes, set[int]] = field(default_factory=dict)
-    payloads: dict[bytes, Any] = field(default_factory=dict)
+    digests: dict[bytes, _DigestVotes] = field(default_factory=dict)
     echoed: bool = False
     ready_sent: bool = False
     delivered: bool = False
+
+    def votes(self, digest: bytes) -> _DigestVotes:
+        votes = self.digests.get(digest)
+        if votes is None:
+            votes = self.digests[digest] = _DigestVotes()
+        return votes
 
 
 class ReliableBroadcast:
@@ -66,6 +80,7 @@ class ReliableBroadcast:
         #: batches votes (ECHO/READY coalesce; SEND always goes direct).
         self.sink = broadcast
         self._on_deliver = on_deliver
+        self._bits = sender_bits(n)
         self._slots: dict[int, _SlotState] = {}
 
     def _slot(self, instance: int) -> _SlotState:
@@ -95,70 +110,64 @@ class ReliableBroadcast:
         self._send(MsgKind.RBC_SEND, self.my_id, payload)
 
     def on_message(self, msg: ConsensusMessage) -> None:
-        slot = self._slot(msg.instance)
-        if msg.kind is MsgKind.RBC_SEND:
+        """Feed a SEND/ECHO/READY message; senders and broadcaster slots
+        outside ``[0, n)`` are Byzantine garbage and ignored."""
+        bits = self._bits
+        bit = bits.get(msg.sender)
+        if bit is None or msg.instance not in bits:
+            return
+        instance = msg.instance
+        slot = self._slot(instance)
+        kind = msg.kind
+        if kind is MsgKind.RBC_SEND:
             # Only the slot owner's SEND counts (others are Byzantine noise).
-            if msg.sender != msg.instance or slot.echoed:
+            if msg.sender != instance or slot.echoed:
                 return
             slot.echoed = True
             digest = _digest(msg.value)
-            slot.payloads[digest] = msg.value
-            self._send(MsgKind.RBC_ECHO, msg.instance, (digest, msg.value))
+            slot.votes(digest).payload = msg.value
+            self._send(MsgKind.RBC_ECHO, instance, (digest, msg.value))
             # Count our own echo implicitly via loopback delivery.
-        elif msg.kind is MsgKind.RBC_ECHO:
+        elif kind is MsgKind.RBC_ECHO or kind is MsgKind.RBC_READY:
             digest, payload = msg.value
-            senders = slot.echo_senders.get(digest)
-            if senders is None:
-                senders = slot.echo_senders[digest] = set()
-            elif msg.sender in senders:
-                return
-            senders.add(msg.sender)
-            slot.payloads.setdefault(digest, payload)
-            self._check_ready(msg.instance, digest, slot)
-        elif msg.kind is MsgKind.RBC_READY:
-            digest, payload = msg.value
-            senders = slot.ready_senders.get(digest)
-            if senders is None:
-                senders = slot.ready_senders[digest] = set()
-            elif msg.sender in senders:
-                return
-            senders.add(msg.sender)
-            if payload is not None:
-                slot.payloads.setdefault(digest, payload)
-            self._check_ready(msg.instance, digest, slot)
-            self._check_deliver(msg.instance, digest, slot)
+            votes = slot.votes(digest)
+            if kind is MsgKind.RBC_ECHO:
+                if votes.echo & bit:
+                    return
+                votes.echo |= bit
+            else:
+                if votes.ready & bit:
+                    return
+                votes.ready |= bit
+            if votes.payload is None:
+                votes.payload = payload
+            self._check_ready(instance, digest, slot, votes)
+            if kind is MsgKind.RBC_READY:
+                self._check_deliver(instance, slot, votes)
 
     # -- thresholds ----------------------------------------------------------------
 
     def _check_ready(
-        self, instance: int, digest: bytes, slot: _SlotState | None = None
+        self, instance: int, digest: bytes, slot: _SlotState, votes: _DigestVotes
     ) -> None:
-        if slot is None:
-            slot = self._slot(instance)
         if slot.ready_sent:
             return
-        echoes = len(slot.echo_senders.get(digest, ()))
-        readys = len(slot.ready_senders.get(digest, ()))
-        if echoes >= 2 * self.f + 1 or readys >= self.f + 1:
+        if (
+            votes.echo.bit_count() >= 2 * self.f + 1
+            or votes.ready.bit_count() >= self.f + 1
+        ):
             slot.ready_sent = True
-            payload = slot.payloads.get(digest)
-            self._send(MsgKind.RBC_READY, instance, (digest, payload))
-            self._check_deliver(instance, digest, slot)
+            self._send(MsgKind.RBC_READY, instance, (digest, votes.payload))
+            self._check_deliver(instance, slot, votes)
 
     def _check_deliver(
-        self, instance: int, digest: bytes, slot: _SlotState | None = None
+        self, instance: int, slot: _SlotState, votes: _DigestVotes
     ) -> None:
-        if slot is None:
-            slot = self._slot(instance)
-        if slot.delivered:
-            return
-        readys = len(slot.ready_senders.get(digest, ()))
-        if readys >= 2 * self.f + 1 and digest in slot.payloads:
-            payload = slot.payloads[digest]
-            if payload is None:
-                return  # wait until someone forwards the payload
+        if slot.delivered or votes.payload is None:
+            return  # done, or wait until someone forwards the payload
+        if votes.ready.bit_count() >= 2 * self.f + 1:
             slot.delivered = True
-            self._on_deliver(instance, payload)
+            self._on_deliver(instance, votes.payload)
 
     def delivered(self, instance: int) -> bool:
         return self._slot(instance).delivered

@@ -27,12 +27,12 @@ which the property tests acknowledge by bounding rounds generously).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
 from repro import telemetry
-from repro.consensus.messages import ConsensusMessage, MsgKind
+from repro.consensus.messages import ConsensusMessage, MsgKind, sender_bits
 from repro.errors import ConsensusError
 
 #: Rounds a decided node keeps participating so peers can finish.
@@ -74,15 +74,16 @@ _metrics = telemetry.bind(_build_metrics)
 
 @dataclass(slots=True)
 class _RoundState:
-    """Per-round bookkeeping (sender sets prevent Byzantine double votes)."""
+    """Per-round votes as sender bitmasks (bit i = validator i voted):
+    a repeated vote is a no-op and a quorum one ``int.bit_count()``.
+    ``echoed`` and ``bin_values`` are value flags (bit v = value v)."""
 
-    bval_senders: dict[int, set[int]] = field(default_factory=dict)  # value -> senders
-    bval_echoed: set[int] = field(default_factory=set)  # values we echoed
-    bin_values: set[int] = field(default_factory=set)
-    aux_senders: dict[int, int] = field(default_factory=dict)  # sender -> value
-    #: per-value AUX tallies mirroring ``aux_senders`` so the round-exit
-    #: check is O(1) instead of a scan over all recorded votes
-    aux_counts: list[int] = field(default_factory=lambda: [0, 0])
+    bval0: int = 0
+    bval1: int = 0
+    aux0: int = 0
+    aux1: int = 0
+    echoed: int = 0  # values whose BVAL we broadcast
+    bin_values: int = 0
     aux_sent: bool = False
     coord_value: int | None = None
 
@@ -126,6 +127,7 @@ class BinaryConsensus:
         #: one BATCH wire message per tick instead of going out one by one.
         self.sink = broadcast
         self._on_decide = on_decide
+        self._bits = sender_bits(n)
 
         self.est: int | None = None
         self.round = 0
@@ -145,7 +147,7 @@ class BinaryConsensus:
         if self._started:
             return
         self._started = True
-        self.est = value
+        self.est = int(value)
         self.round = 1
         self._start_round()
 
@@ -162,38 +164,50 @@ class BinaryConsensus:
         return self._started
 
     def on_message(self, msg: ConsensusMessage) -> None:
-        """Feed a BVAL/AUX/COORD message addressed to this instance."""
-        if msg.round > MAX_ROUNDS:
+        """Feed a BVAL/AUX/COORD message addressed to this instance.
+
+        Votes from senders outside ``[0, n)`` and values other than the
+        ints 0 and 1 are Byzantine garbage and ignored.  Thresholds are
+        checked only when a vote makes a count cross one: BVAL at f+1 and
+        2f+1, AUX at n−f for the current round.
+        """
+        r = msg.round
+        if r > MAX_ROUNDS:
             return
-        state = self._rounds.get(msg.round)
+        bit = self._bits.get(msg.sender)
+        value = msg.value
+        if bit is None or value.__class__ is not int or (value != 0 and value != 1):
+            return
+        state = self._rounds.get(r)
         if state is None:
-            state = self._rounds[msg.round] = _RoundState()
+            state = self._rounds[r] = _RoundState()
         kind = msg.kind
         if kind is _BVAL:
-            value = int(msg.value)
-            if value not in (0, 1):
-                return  # Byzantine garbage
-            senders = state.bval_senders.get(value)
-            if senders is None:
-                senders = state.bval_senders[value] = set()
-            elif msg.sender in senders:
+            mask = state.bval1 if value else state.bval0
+            if mask & bit:
                 return  # duplicate vote
-            senders.add(msg.sender)
-            self._check_bval(msg.round, value, state)
+            mask |= bit
+            if value:
+                state.bval1 = mask
+            else:
+                state.bval0 = mask
+            count = mask.bit_count()
+            if count == self.f + 1 or count == 2 * self.f + 1:
+                self._check_bval(r, value, state, count)
         elif kind is _AUX:
-            value = int(msg.value)
-            if value not in (0, 1) or msg.sender in state.aux_senders:
+            voted = state.aux0 | state.aux1
+            if voted & bit:
                 return
-            state.aux_senders[msg.sender] = value
-            state.aux_counts[value] += 1
-            self._try_advance(msg.round, state)
+            if value:
+                state.aux1 |= bit
+            else:
+                state.aux0 |= bit
+            if r == self.round and (voted | bit).bit_count() >= self.n - self.f:
+                self._try_advance(r, state)
         elif kind is _COORD:
-            coord = (msg.round - 1) % self.n
-            if msg.sender == coord and state.coord_value is None:
-                value = int(msg.value)
-                if value in (0, 1):
-                    state.coord_value = value
-                    self._maybe_send_aux(msg.round)
+            if msg.sender == (r - 1) % self.n and state.coord_value is None:
+                state.coord_value = value
+                self._maybe_send_aux(r, state)
 
     # -- internals -----------------------------------------------------------
 
@@ -242,40 +256,40 @@ class BinaryConsensus:
             if self.my_id == coord:
                 self._send(MsgKind.COORD, self.round, self.est)
             state = self._round_state(self.round)
-            if self.est not in state.bval_echoed:
-                state.bval_echoed.add(self.est)
+            flag = 1 << self.est
+            if not state.echoed & flag:
+                state.echoed |= flag
                 self._send(MsgKind.BVAL, self.round, self.est)
-        # BVALs may have arrived before we started this round.
-        for value in (0, 1):
-            self._check_bval(self.round, value)
+        # Votes may have arrived before we started this round: thresholds
+        # crossed earlier already set their flags, so only the round exit
+        # is left to check.
         self._try_advance(self.round)
 
-    def _check_bval(self, r: int, value: int, state: _RoundState | None = None) -> None:
-        if state is None:
-            state = self._round_state(r)
-        count = len(state.bval_senders.get(value, ()))
+    def _check_bval(self, r: int, value: int, state: _RoundState, count: int) -> None:
+        """React to ``count`` distinct BVAL(value) votes in round ``r``."""
+        flag = 1 << value
         # Echo once f+1 distinct nodes back the value (amplification).
-        if count >= self.f + 1 and value not in state.bval_echoed:
-            state.bval_echoed.add(value)
+        if count >= self.f + 1 and not state.echoed & flag:
+            state.echoed |= flag
             if r <= self.round + 1 and self._participating():
                 self._send(MsgKind.BVAL, r, value)
         # 2f+1 distinct BVALs: at least one correct proposer → bin_values.
-        if count >= 2 * self.f + 1 and value not in state.bin_values:
-            state.bin_values.add(value)
+        if count >= 2 * self.f + 1 and not state.bin_values & flag:
+            state.bin_values |= flag
             self._maybe_send_aux(r, state)
             self._try_advance(r, state)
 
-    def _maybe_send_aux(self, r: int, state: _RoundState | None = None) -> None:
-        if state is None:
-            state = self._round_state(r)
-        if state.aux_sent or not state.bin_values or r != self.round:
+    def _maybe_send_aux(self, r: int, state: _RoundState) -> None:
+        bin_values = state.bin_values
+        if state.aux_sent or not bin_values or r != self.round:
             return
         if not self._participating():
             return
-        if state.coord_value is not None and state.coord_value in state.bin_values:
-            value = state.coord_value
+        coord = state.coord_value
+        if coord is not None and bin_values >> coord & 1:
+            value = coord
         else:
-            value = min(state.bin_values)
+            value = 0 if bin_values & 1 else 1
         state.aux_sent = True
         self._send(MsgKind.AUX, r, value)
 
@@ -289,13 +303,9 @@ class BinaryConsensus:
         bin_values = state.bin_values
         if not bin_values:
             return
-        # n−f AUX messages whose values are all in bin_values; the
-        # per-value tallies make this O(1) (it used to rebuild a dict of
-        # every valid vote on each AUX arrival — the single hottest line
-        # at committee scale).
-        counts = state.aux_counts
-        c0 = counts[0] if 0 in bin_values else 0
-        c1 = counts[1] if 1 in bin_values else 0
+        # n−f AUX messages whose values are all in bin_values
+        c0 = state.aux0.bit_count() if bin_values & 1 else 0
+        c1 = state.aux1.bit_count() if bin_values & 2 else 0
         if c0 + c1 < self.n - self.f:
             return
         coin = self._coin(r)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterator
@@ -21,6 +22,13 @@ class MsgKind(Enum):
     RBC_READY = "rbc-ready"
     # vote batching (one wire message carrying many of the above)
     BATCH = "batch"
+
+
+@functools.cache
+def sender_bits(n: int) -> dict[int, int]:
+    """Validator id -> its vote-mask bit, for the seats ``[0, n)`` only.
+    Shared by every instance of a committee size: read-only."""
+    return {i: 1 << i for i in range(n)}
 
 
 def _payload_size(value: Any) -> int:

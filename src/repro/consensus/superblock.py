@@ -35,6 +35,7 @@ from repro.core.block import Block, SuperBlock
 from repro.errors import ConsensusError
 
 _RBC_KINDS = (MsgKind.RBC_SEND, MsgKind.RBC_ECHO, MsgKind.RBC_READY)
+_BVAL, _AUX, _COORD, _BATCH = MsgKind.BVAL, MsgKind.AUX, MsgKind.COORD, MsgKind.BATCH
 
 logger = logging.getLogger("repro.consensus.superblock")
 
@@ -157,61 +158,38 @@ class SuperBlockConsensus:
         if instance is not None and not instance.has_input:
             instance.propose(0)
 
-    def on_message(self, msg: ConsensusMessage, *, record: bool = True) -> None:
-        """Feed one consensus message (or a whole vote batch) to this index.
+    def on_message(self, msg: ConsensusMessage) -> None:
+        """Feed one received consensus wire message to this index.
 
-        ``record=False`` skips the wire-message counter — used for batch
-        constituents, whose *batch* was already counted once.
+        Counts it once as a wire message, then routes it — a vote batch
+        constituent by constituent, in emission order — through
+        :meth:`on_constituent`.  For standalone harnesses: a
+        :class:`~repro.core.node.ValidatorNode` counts, authenticates and
+        routes batches across indexes itself.
         """
-        if msg.kind is MsgKind.BATCH:
-            # Standalone users (tests, single-index harnesses) may loop a
-            # batch straight back in; unpack in emission order.  Node-level
-            # callers unpack earlier so they can route across indexes.
-            if record:
-                record_wire_kind(msg.kind)
-            for constituent in msg.value:
-                self.on_message(constituent, record=False)
-            return
-        if msg.index != self.index:
-            return
-        if record:
-            _metrics().by_kind[msg.kind].inc()
-        if msg.kind in _RBC_KINDS:
-            self.rbc.on_message(msg)
-        else:
-            instance = self.instances.get(msg.instance)
-            if instance is not None:
-                # No trailing _check_done here: the only mutations that can
-                # complete the round happen inside _on_decide/_on_rbc_deliver,
-                # and both already end with _check_done — calling it per
-                # constituent was pure overhead at committee scale.
-                instance.on_message(msg)
-
-    def on_constituent(self, msg: ConsensusMessage) -> None:
-        """Uncounted fast path for batch constituents.
-
-        Equivalent to ``on_message(msg, record=False)`` with the counting
-        and keyword plumbing stripped: the vote-batch unpack loop calls
-        this millions of times per committee-scale run.
-        """
-        kind = msg.kind
-        if kind is MsgKind.BVAL or kind is MsgKind.AUX or kind is MsgKind.COORD:
-            if msg.index != self.index:
-                return
-            instance = self.instances.get(msg.instance)
-            if instance is not None:
-                instance.on_message(msg)
-        elif kind is MsgKind.BATCH:
+        record_wire_kind(msg.kind)
+        if msg.kind is _BATCH:
             for constituent in msg.value:
                 self.on_constituent(constituent)
-        elif msg.index != self.index:
-            return
-        elif kind in _RBC_KINDS:
-            self.rbc.on_message(msg)
         else:
+            self.on_constituent(msg)
+
+    def on_constituent(self, msg: ConsensusMessage) -> None:
+        """Route one (unpacked, uncounted) consensus message to its RBC
+        or binary instance.  Anything else, a nested batch included, is
+        ignored."""
+        if msg.index != self.index:
+            return
+        kind = msg.kind
+        if kind is _BVAL or kind is _AUX or kind is _COORD:
             instance = self.instances.get(msg.instance)
             if instance is not None:
+                # No _check_done here: the only mutations that can complete
+                # the round happen inside _on_decide/_on_rbc_deliver, and
+                # both already end with _check_done.
                 instance.on_message(msg)
+        elif kind in _RBC_KINDS:
+            self.rbc.on_message(msg)
 
     # -- callbacks -----------------------------------------------------------------
 

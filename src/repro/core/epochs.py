@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import params
-from repro.consensus.messages import ConsensusMessage
 from repro.consensus.superblock import SuperBlockConsensus
 from repro.core.block import Block, make_block
 from repro.core.deployment import Deployment
@@ -101,23 +100,12 @@ class ReconfigurableNode(ValidatorNode):
 
     # -- message authentication -------------------------------------------------------
 
-    def _dispatch_consensus(
-        self, cmsg: ConsensusMessage, wire_sender: int, *, record: bool = True
-    ) -> None:
-        """Authenticated dispatch: applied per message — and therefore per
-        batch constituent, since a batch may span indexes whose committees
-        assign the same physical node *different* logical slots."""
-        if not self._admit_consensus(cmsg, wire_sender, record=record):
-            return  # crash–recovery gate (buffered or replay-covered)
-        committee = self._committee(cmsg.index)
-        # logical-sender authenticity: the network sender (authentic)
-        # must own the claimed committee slot
-        if not (
-            0 <= cmsg.sender < len(committee)
-            and committee[cmsg.sender] == wire_sender
-        ):
-            return  # spoofed or non-member traffic: drop
-        self._consensus_for(cmsg.index).on_message(cmsg, record=record)
+    def _consensus_sender(self, index: int, wire_sender: int) -> int | None:
+        """Logical-sender authenticity: a node votes only under the
+        committee slot it owns at ``index`` (per index, since a batch may
+        span indexes whose committees give it different slots)."""
+        committee = self._committee(index)
+        return committee.index(wire_sender) if wire_sender in committee else None
 
     # -- proposing ----------------------------------------------------------------------
 

@@ -25,7 +25,7 @@ for nonce staleness or duplicates.
 from __future__ import annotations
 
 import logging
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro import params, telemetry
 from repro.telemetry import lifecycle, profiling
@@ -595,31 +595,11 @@ class ValidatorNode:
             # tests/diablo/test_runner.py histories).
             if cmsg.kind is MsgKind.BATCH:
                 # One wire message, many votes: count the batch once, then
-                # feed constituents to their (index, instance) in emission
-                # order.  Constituents may span chain indexes.
+                # feed its constituents (which may span chain indexes).
                 record_wire_kind(MsgKind.BATCH)
-                if (
-                    type(self)._dispatch_consensus
-                    is ValidatorNode._dispatch_consensus
-                    and not self._recovering
-                    and not self._catchup_floor
-                ):
-                    # Steady state on the base node class: skip the
-                    # per-constituent dispatch/admission call frames —
-                    # this loop is the hottest code in a committee run.
-                    consensus_map = self._consensus
-                    for constituent in cmsg.value:
-                        consensus = consensus_map.get(constituent.index)
-                        if consensus is None:
-                            consensus = self._consensus_for(constituent.index)
-                        consensus.on_constituent(constituent)
-                else:
-                    for constituent in cmsg.value:
-                        self._dispatch_consensus(
-                            constituent, msg.sender, record=False
-                        )
+                self._dispatch_consensus(cmsg.value, msg.sender, record=False)
             else:
-                self._dispatch_consensus(cmsg, msg.sender)
+                self._dispatch_consensus((cmsg,), msg.sender, record=True)
         elif msg.kind == GossipLayer.KIND:
             self.gossip.handle(msg)
         elif msg.kind == TX_KIND:
@@ -654,31 +634,42 @@ class ValidatorNode:
             return False
         return True
 
-    def _dispatch_consensus(
-        self, cmsg: ConsensusMessage, wire_sender: int, *, record: bool = True
-    ) -> None:
-        """Route one (unpacked) consensus message to its chain index.
+    def _consensus_sender(self, index: int, wire_sender: int) -> int | None:
+        """The consensus id ``wire_sender`` may vote under at ``index``:
+        its node id (committee-slot subclasses override)."""
+        return wire_sender
 
-        ``wire_sender`` is the transport-level sender — subclasses that
-        authenticate logical senders against committee slots (epochs)
-        override this and check each batch constituent individually.
-        """
-        # Fast path for the steady state (no recovery in progress): skip
-        # the admission gate's per-constituent call and the _consensus_for
-        # membership test — at committee scale this dispatch runs tens of
-        # millions of times per run.
-        if not self._recovering and not self._catchup_floor:
-            consensus = self._consensus.get(cmsg.index)
+    def _dispatch_consensus(
+        self, cmsgs: Iterable[ConsensusMessage], wire_sender: int, *, record: bool
+    ) -> None:
+        """The one consensus dispatch path: feed messages, in emission
+        order, to their chain index.  A message whose logical ``sender``
+        is not the (unforgeable) transport sender's consensus id at its
+        index is dropped, so no seat votes under another seat's id.
+        ``record`` counts each as a wire message (batch constituents are
+        not: their batch was counted once)."""
+        consensus_map = self._consensus
+        gated = self._recovering or self._catchup_floor
+        index: object = object()  # equal to no message's index
+        consensus = seat = None
+        for cmsg in cmsgs:
+            if cmsg.index != index:  # once per run of one index
+                index = cmsg.index
+                seat = self._consensus_sender(index, wire_sender)
+                consensus = None
+            if cmsg.sender != seat or seat is None:
+                continue  # forged or non-member sender
             if consensus is None:
-                consensus = self._consensus_for(cmsg.index)
+                if gated and not self._admit_consensus(
+                    cmsg, wire_sender, record=record
+                ):
+                    continue
+                consensus = consensus_map.get(index)
+                if consensus is None:
+                    consensus = self._consensus_for(index)
             if record:
-                consensus.on_message(cmsg)
-            else:
-                consensus.on_constituent(cmsg)
-            return
-        if not self._admit_consensus(cmsg, wire_sender, record=record):
-            return
-        self._consensus_for(cmsg.index).on_message(cmsg, record=record)
+                record_wire_kind(cmsg.kind)
+            consensus.on_constituent(cmsg)
 
     # -- decision & commit (Alg. 1 lines 18-31) ------------------------------------------------
 
@@ -941,7 +932,7 @@ class ValidatorNode:
         for cmsg, wire_sender, record in buffered:
             if cmsg.index < self._next_commit_index:
                 continue  # decided while we were buffering; replay covered it
-            self._dispatch_consensus(cmsg, wire_sender, record=record)
+            self._dispatch_consensus((cmsg,), wire_sender, record=record)
             replayed += 1
         next_index = max(self._next_commit_index, self._next_propose_index)
         self._next_propose_index = next_index

@@ -124,3 +124,32 @@ class TestThresholds:
                 value=(b"\x02" * 32, b"p"), sender=1,
             ))
         assert not cluster.queue
+
+
+class TestForgedSenders:
+    """Votes from ids outside ``[0, n)`` are not seats and never count."""
+
+    OUTSIDERS = (4, 5, -1, 99)
+
+    @pytest.mark.parametrize("kind", [MsgKind.RBC_ECHO, MsgKind.RBC_READY])
+    def test_out_of_range_votes_ignored(self, kind):
+        cluster = RBCCluster(4, 1)
+        node = cluster.nodes[0]
+        for sender in self.OUTSIDERS:
+            node.on_message(ConsensusMessage(
+                kind=kind, index=0, instance=2, round=0,
+                value=(b"\x02" * 32, b"p"), sender=sender,
+            ))
+        assert not cluster.queue  # three forged ECHOs or READYs used to send READY
+        assert not node.delivered(2)
+
+    def test_out_of_range_slot_ignored(self):
+        cluster = RBCCluster(4, 1)
+        node = cluster.nodes[0]
+        for sender in range(4):
+            node.on_message(ConsensusMessage(
+                kind=MsgKind.RBC_READY, index=0, instance=7, round=0,
+                value=(b"\x02" * 32, b"p"), sender=sender,
+            ))
+        assert not cluster.queue
+        assert not cluster.delivered

@@ -157,7 +157,68 @@ class TestByzantineResilience:
                 kind=MsgKind.BVAL, index=0, instance=0, round=1, value=1, sender=3
             ))
         state = node._round_state(1)
-        assert len(state.bval_senders.get(1, ())) == 1
+        assert state.bval1.bit_count() == 1
+
+
+class TestForgedVotes:
+    """Votes from ids outside ``[0, n)`` and non-int values never count."""
+
+    OUTSIDERS = (4, 5, -1)
+
+    @staticmethod
+    def _node(sent, value=0):
+        node = BinaryConsensus(
+            n=4, f=1, my_id=1, index=0, instance=0,  # not round 1's coordinator
+            broadcast=sent.append, on_decide=lambda i, v: None,
+        )
+        node.propose(value)
+        return node
+
+    def test_out_of_range_bvals_ignored(self):
+        from repro.consensus.messages import MsgKind
+
+        sent = []
+        node = self._node(sent, value=0)
+        for sender in self.OUTSIDERS:
+            node.on_message(ConsensusMessage(
+                kind=MsgKind.BVAL, index=0, instance=0, round=1, value=1,
+                sender=sender,
+            ))
+        # 2f+1 forged BVAL(1) used to put 1 into bin_values (echo + AUX(1))
+        assert [(m.kind, m.value) for m in sent] == [(MsgKind.BVAL, 0)]
+
+    def test_out_of_range_aux_ignored(self):
+        from repro.consensus.messages import MsgKind
+
+        sent = []
+        node = self._node(sent, value=1)
+        for sender in range(3):
+            node.on_message(ConsensusMessage(
+                kind=MsgKind.BVAL, index=0, instance=0, round=1, value=1,
+                sender=sender,
+            ))
+        assert (MsgKind.AUX, 1) in [(m.kind, m.value) for m in sent]
+        for sender in self.OUTSIDERS:
+            node.on_message(ConsensusMessage(
+                kind=MsgKind.AUX, index=0, instance=0, round=1, value=1,
+                sender=sender,
+            ))
+        # n−f forged AUX(1) used to end round 1 and decide 1
+        assert node.decided is None
+        assert node.round == 1
+
+    @pytest.mark.parametrize("value", ["1", True, 1.0])
+    def test_coercible_garbage_values_ignored(self, value):
+        from repro.consensus.messages import MsgKind
+
+        sent = []
+        node = self._node(sent, value=0)
+        for sender in (0, 2, 3):
+            node.on_message(ConsensusMessage(
+                kind=MsgKind.BVAL, index=0, instance=0, round=1, value=value,
+                sender=sender,
+            ))
+        assert [(m.kind, m.value) for m in sent] == [(MsgKind.BVAL, 0)]
 
 
 class TestInputValidation:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import params
+from repro.consensus.messages import ConsensusMessage, MsgKind
+from repro.consensus.superblock import SuperBlockConsensus
 from repro.core.epochs import (
     CommitteeSchedule,
     ReconfigurableDeployment,
@@ -105,6 +107,30 @@ class TestReconfigurableDeployment:
             assert observer.blockchain.contains_tx(tx)
             assert observer.stats.blocks_proposed == 0
         assert deployment.states_agree()
+
+    def test_votes_authenticated_per_committee_slot(self, monkeypatch):
+        """A constituent counts only under the slot its wire sender owns
+        at that index; a non-member owns none."""
+        deployment, _ = build_deployment(epoch_length=1000)
+        committee = deployment.committee_for_index(1)
+        outsider = next(
+            v.node_id for v in deployment.validators if v.node_id not in committee
+        )
+        node = deployment.validators[committee[0]]
+        reached = []
+        monkeypatch.setattr(
+            SuperBlockConsensus, "on_constituent", lambda sbc, m: reached.append(m)
+        )
+
+        def bval(sender):
+            return ConsensusMessage(
+                kind=MsgKind.BVAL, index=1, instance=0, round=1, value=1,
+                sender=sender,
+            )
+
+        node._dispatch_consensus([bval(1), bval(2)], committee[1], record=False)
+        node._dispatch_consensus([bval(None), bval(0)], outsider, record=False)
+        assert reached == [bval(1)]
 
     def test_observers_send_no_consensus_traffic(self):
         deployment, clients = build_deployment(epoch_length=1000)
