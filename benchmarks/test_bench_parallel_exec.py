@@ -1,12 +1,11 @@
 """Parallel-execution ablation (DESIGN.md addition).
 
 Quantifies the headroom Definition 1's "non-conflicting" structure
-leaves on the table: per-workload conflict depth and the simulated
+leaves on the table: per-workload conflict depth and the theoretical
 speedup of a conflict-respecting W-worker executor over the serial one
 the reproduction (and the paper's Geth-derived VM) uses.
 """
 
-from repro.vm.parallel import parallel_commit_time_s
 from repro.vm.conflicts import analyze_block
 from repro.workloads.fifa import fifa_request_factory
 from repro.workloads.nasdaq import nasdaq_request_factory
@@ -14,7 +13,6 @@ from repro.workloads.uber import uber_request_factory
 
 BATCH = 400
 WORKERS = 8
-EXEC_RATE = 20_000.0
 
 
 def test_workload_conflict_headroom(benchmark, run_once):
@@ -28,12 +26,8 @@ def test_workload_conflict_headroom(benchmark, run_once):
         for name, factory in factories.items():
             txs = [factory(i, 0.0) for i in range(BATCH)]
             report = analyze_block(txs)
-            serial = BATCH / EXEC_RATE
-            parallel = parallel_commit_time_s(
-                txs, workers=WORKERS, exec_rate=EXEC_RATE
-            )
             rows.append((name, report.parallel_depth, report.conflict_count,
-                         serial / parallel))
+                         report.speedup_at(WORKERS)))
         return rows
 
     rows = run_once(benchmark, sweep)

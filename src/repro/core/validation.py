@@ -14,7 +14,6 @@ validators *count* failures (they feed RPM reports and DIABLO loss metrics).
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -72,12 +71,6 @@ SIG_CACHE_CAPACITY = 65_536
 #: tx_hash -> fingerprint of the verified transaction (LRU, positives only)
 _sig_cache: "OrderedDict[bytes, tuple]" = OrderedDict()
 
-#: The cache is shared by the eager path and by every executor — including
-#: the parallel backend's worker threads.  OrderedDict move-to-end/evict is
-#: not atomic, so all cache access goes through this lock; the expensive
-#: work (fingerprint hashing, ``recover_check``) stays outside it.
-_sig_lock = threading.Lock()
-
 
 def _sig_fingerprint(tx: Transaction) -> tuple:
     return (
@@ -102,31 +95,23 @@ def check_signature(tx: Transaction) -> bool:
         return False
     m = _metrics()
     fingerprint = _sig_fingerprint(tx)
-    with _sig_lock:
-        cached = _sig_cache.get(tx.tx_hash)
-        if cached is not None and cached == fingerprint:
-            _sig_cache.move_to_end(tx.tx_hash)
-            hit = True
-        else:
-            hit = False
-    if hit:
+    if _sig_cache.get(tx.tx_hash) == fingerprint:
+        _sig_cache.move_to_end(tx.tx_hash)
         m.sig_hits.inc()
         return True
     m.sig_misses.inc()
     ok = recover_check(tx.public_key, tx.signing_payload(), tx.signature, tx.sender)
     if ok:
-        with _sig_lock:
-            _sig_cache[tx.tx_hash] = fingerprint
-            _sig_cache.move_to_end(tx.tx_hash)
-            while len(_sig_cache) > SIG_CACHE_CAPACITY:
-                _sig_cache.popitem(last=False)
+        _sig_cache[tx.tx_hash] = fingerprint
+        _sig_cache.move_to_end(tx.tx_hash)
+        while len(_sig_cache) > SIG_CACHE_CAPACITY:
+            _sig_cache.popitem(last=False)
     return ok
 
 
 def clear_signature_cache() -> None:
     """Drop every cached verdict (tests and long-running sweeps)."""
-    with _sig_lock:
-        _sig_cache.clear()
+    _sig_cache.clear()
 
 
 @timed("srbb_eager_validate_seconds", "wall time per eager validation")

@@ -51,8 +51,7 @@ _metrics = bind(
         ),
         vote_tick=reg.gauge(
             "srbb_obs_vote_batch_tick_seconds",
-            "effective vote-batch flush tick at last sample (shrinks under "
-            "light load when vote_batch_adaptive is on)",
+            "vote-batch flush tick at last sample",
         ),
         consensus_open=reg.gauge(
             "srbb_obs_consensus_open", "open consensus instances at last sample"
@@ -125,7 +124,7 @@ class CongestionObservatory:
                 "vote_buffer": node.vote_batcher.pending,
                 # getattr: test fakes stub the batcher with bare namespaces
                 "vote_tick_s": round(
-                    getattr(node.vote_batcher, "effective_tick", 0.0), 6
+                    getattr(node.vote_batcher, "tick", 0.0), 6
                 ),
                 "consensus_open": len(node._consensus),
                 "crashed": bool(node.crashed),
@@ -229,7 +228,7 @@ def render_samples_text(samples: "list[dict]") -> str:
         "pool_depth": "txpool depth (Σ nodes)",
         "pool_age_s": "oldest tx age (max, s)",
         "vote_buffer": "vote-batcher backlog",
-        "vote_tick_s": "effective vote tick (max, s)",
+        "vote_tick_s": "vote tick (max, s)",
         "consensus_open": "open consensus instances",
         "net_inflight": "un-acked sends in flight",
         "net_retransmissions": "retransmissions / interval",

@@ -18,6 +18,7 @@ how SRBB satisfies the property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import ceil
 from typing import Iterable, Sequence
 
 import networkx as nx
@@ -177,6 +178,17 @@ class ConflictReport:
     def speedup(self) -> float:
         """Theoretical speedup vs serial execution (unit-cost txs)."""
         return self.tx_count / self.parallel_depth if self.groups else 1.0
+
+    def speedup_at(self, workers: int) -> float:
+        """Theoretical speedup with at most ``workers`` txs per step.
+
+        Each group takes ``ceil(len(group) / workers)`` unit-cost steps,
+        so the bound is ``tx_count / Σ ceil(|group| / workers)``.
+        """
+        if workers < 1:
+            raise ValueError("workers must be positive")
+        steps = sum(ceil(len(group) / workers) for group in self.groups)
+        return self.tx_count / steps if steps else 1.0
 
 
 def conflict_graph(txs: Sequence[Transaction], *, coinbase: str = "") -> nx.Graph:

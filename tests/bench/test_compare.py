@@ -1,11 +1,13 @@
 """Flattening, direction-aware thresholds, diff statuses, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import (
     ARTIFACT_SCHEMA,
+    WALL_CLOCK_HEADLINE_MARKERS,
     Threshold,
     compare_files,
     diff_docs,
@@ -134,6 +136,20 @@ class TestDiff:
         result = diff_docs(to_json(reg_a), to_json(reg_b))
         assert result.ok
         assert all(d.threshold is None for d in result.deltas)
+
+    def test_every_wall_clock_marker_matches_a_baseline_key(self):
+        """A marker no checked-in baseline uses is stale: it would silently
+        exempt any future key that happens to contain it."""
+        baselines = Path(__file__).parents[2] / "benchmarks" / "baselines"
+        keys = set()
+        for path in sorted(baselines.glob("BENCH_*.json")):
+            keys.update(flatten_doc(json.loads(path.read_text())))
+        assert keys
+        stale = [
+            marker for marker in WALL_CLOCK_HEADLINE_MARKERS
+            if not any(marker in key for key in keys)
+        ]
+        assert not stale
 
     def test_added_and_removed_metrics_reported(self):
         result = diff_docs(

@@ -216,48 +216,3 @@ class TestSignatureCache:
         )
         assert not check_signature(tx)
         assert not calls
-
-
-class TestSignatureCacheThreadSafety:
-    def test_concurrent_check_signature(self):
-        """Worker threads hammering the LRU (with churn past capacity)
-        must neither crash nor return a wrong verdict."""
-        import threading
-
-        from repro.core import validation as v
-        from repro.core.transaction import make_transfer
-        from repro.crypto.keys import generate_keypair
-
-        keypairs = [generate_keypair(8800 + i) for i in range(4)]
-        txs = [
-            make_transfer(kp, "aa" * 20, 1, nonce=n)
-            for kp in keypairs
-            for n in range(60)
-        ]
-        old_capacity = v.SIG_CACHE_CAPACITY
-        v.SIG_CACHE_CAPACITY = 32  # force constant eviction
-        v.clear_signature_cache()
-        failures: list = []
-
-        def worker(rounds):
-            try:
-                for _ in range(rounds):
-                    for tx in txs:
-                        if not v.check_signature(tx):
-                            failures.append(tx)
-            except Exception as exc:  # pragma: no cover - failure path
-                failures.append(exc)
-
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(3,)) for _ in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            v.SIG_CACHE_CAPACITY = old_capacity
-            v.clear_signature_cache()
-        assert not failures
-        assert len(v._sig_cache) <= 32

@@ -1,8 +1,11 @@
 """Conflict analysis: access sets, conflict graph, parallel scheduling."""
 
-from hypothesis import given, strategies as st
+import random
 
-from repro.core.transaction import make_invoke, make_transfer
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.transaction import make_deploy, make_invoke, make_transfer
 from repro.crypto.keys import generate_keypair
 from repro.vm.conflicts import (
     access_set,
@@ -10,7 +13,14 @@ from repro.vm.conflicts import (
     blocks_are_conflict_serialized,
     conflict_graph,
 )
-from repro.vm.executor import native_address_for
+from repro.vm.contracts import (
+    ExchangeContract,
+    MobilityContract,
+    TicketingContract,
+)
+from repro.vm.contracts.base import NativeRegistry
+from repro.vm.executor import Executor, install_native, native_address_for
+from repro.vm.state import WorldState
 
 KPS = [generate_keypair(600 + i) for i in range(6)]
 EXCHANGE = native_address_for("exchange")
@@ -237,3 +247,181 @@ class TestScheduleVerification:
         # Spreading independent txs over extra groups is legal, just slow.
         txs = [transfer(0, 1), transfer(2, 3)]
         assert blocks_are_conflict_serialized(txs, [[0], [1]])
+
+
+SENDERS = [generate_keypair(9500 + i) for i in range(16)]
+
+
+def disjoint_transfers(count):
+    return [
+        make_transfer(SENDERS[i], f"{i:040x}", 1, nonce=0) for i in range(count)
+    ]
+
+
+class TestSpeedupAt:
+    """Worker-bounded headroom: ``tx_count / Σ ceil(|group| / workers)``."""
+
+    def test_disjoint_batch_speedup(self):
+        report = analyze_block(disjoint_transfers(8))
+        assert report.parallel_depth == 1
+        assert report.speedup_at(8) == pytest.approx(8.0)
+
+    def test_serial_chain_no_speedup(self):
+        txs = [transfer(0, 1, nonce=i) for i in range(5)]
+        assert analyze_block(txs).speedup_at(8) == pytest.approx(1.0)
+
+    def test_worker_count_bounds_speedup(self):
+        report = analyze_block(disjoint_transfers(16))
+        assert report.speedup == pytest.approx(16.0)
+        assert report.speedup_at(2) == pytest.approx(2.0)
+
+    def test_empty_block(self):
+        assert analyze_block([]).speedup_at(8) == 1.0
+
+    def test_invalid_workers(self):
+        with pytest.raises(ValueError):
+            analyze_block([]).speedup_at(0)
+
+
+# ---------------------------------------------------------------------------
+# Definition 1 guarantee: schedule order reproduces block order
+# ---------------------------------------------------------------------------
+
+MIXED_KPS = [generate_keypair(7700 + i) for i in range(6)]
+COINBASE = "cb" * 20
+
+
+def _fresh_executor() -> Executor:
+    registry = NativeRegistry()
+    for contract in (ExchangeContract(), MobilityContract(), TicketingContract()):
+        registry.register(contract)
+    state = WorldState()
+    for kp in KPS + SENDERS + MIXED_KPS:
+        state.create_account(kp.address, 10**12)
+    for name in ("exchange", "mobility", "ticketing"):
+        install_native(state, name)
+    state.commit()
+    return Executor(state, registry=registry)
+
+
+def _build_block(seed: int, length: int) -> list:
+    """Deterministic mixed block: transfers, deploys, invokes, junk."""
+    rng = random.Random(seed)
+    mobility = native_address_for("mobility")
+    ticketing = native_address_for("ticketing")
+    nonces = {kp.address: 0 for kp in MIXED_KPS}
+    txs = []
+    for _ in range(length):
+        kp = rng.choice(MIXED_KPS)
+        nonce = nonces[kp.address]
+        roll = rng.random()
+        if roll < 0.30:
+            tx = make_transfer(
+                kp, rng.choice(MIXED_KPS).address, rng.randint(1, 50),
+                nonce=nonce,
+            )
+        elif roll < 0.45:
+            tx = make_deploy(
+                kp, bytes([rng.randint(0, 255)]) * rng.randint(1, 8), nonce=nonce
+            )
+        elif roll < 0.65:
+            tx = make_invoke(
+                kp, EXCHANGE, "trade",
+                (rng.choice(("AAPL", "MSFT", "GOOG")), rng.randint(1, 9),
+                 rng.randint(1, 9)),
+                nonce=nonce,
+            )
+        elif roll < 0.75:
+            tx = make_invoke(
+                kp, ticketing, "open_match",
+                (rng.randint(1, 3), rng.randint(10, 20), rng.randint(1, 5)),
+                nonce=nonce,
+            )
+        elif roll < 0.85:
+            # opaque native call — forces whole-block serialization points
+            tx = make_invoke(
+                kp, mobility, "complete_ride", (rng.randint(1, 3),), nonce=nonce
+            )
+        elif roll < 0.95:
+            tx = make_invoke(kp, EXCHANGE, "last_price", ("AAPL",), nonce=nonce)
+        else:
+            # invalid on purpose: future nonce → bad-nonce receipt
+            tx = make_transfer(kp, MIXED_KPS[0].address, 1, nonce=nonce + 50)
+            nonces[kp.address] -= 1
+        nonces[kp.address] += 1
+        txs.append(tx)
+    return txs
+
+
+def _receipt_key(receipt):
+    return (
+        receipt.tx_hash,
+        receipt.success,
+        receipt.gas_used,
+        receipt.error,
+        repr(receipt.return_value),
+        receipt.contract_address,
+    )
+
+
+def _block_and_schedule_order(txs):
+    """Execute ``txs`` in block order and in schedule order (groups
+    ascending, each group reversed); return both executors and receipt
+    lists, the schedule's receipts indexed by block position."""
+    in_order = _fresh_executor()
+    block_receipts = [in_order.execute(tx, coinbase=COINBASE) for tx in txs]
+    scheduled = _fresh_executor()
+    schedule_receipts = [None] * len(txs)
+    for group in analyze_block(txs, coinbase=COINBASE).groups:
+        for i in reversed(group):
+            schedule_receipts[i] = scheduled.execute(txs[i], coinbase=COINBASE)
+    return in_order, block_receipts, scheduled, schedule_receipts
+
+
+class TestScheduleOrderExecution:
+    def test_same_state_as_block_order(self):
+        txs = disjoint_transfers(8) + [trade(0, "AAPL")]
+        in_order, _, scheduled, receipts = _block_and_schedule_order(txs)
+        assert scheduled.state.state_root() == in_order.state.state_root()
+        assert all(r.success for r in receipts)
+
+    def test_receipts_indexed_by_block_position(self):
+        # [a0, a1, b0] schedules as [[0, 2], [1]]: a1 waits for a0, b0 is
+        # free, so execution order is 2, 0, 1 — receipts still read 0, 1, 2.
+        a, b = MIXED_KPS[:2]
+        txs = [
+            make_transfer(a, "aa" * 20, 1, nonce=0),
+            make_transfer(a, "aa" * 20, 2, nonce=1),
+            make_transfer(b, "bb" * 20, 3, nonce=0),
+        ]
+        assert analyze_block(txs, coinbase=COINBASE).groups == [[0, 2], [1]]
+        _, _, _, receipts = _block_and_schedule_order(txs)
+        assert [r.tx_hash for r in receipts] == [tx.tx_hash for tx in txs]
+        assert all(r.success for r in receipts)
+
+    def test_failed_receipt_lands_at_its_position(self):
+        a, b, c = MIXED_KPS[:3]
+        txs = [
+            make_transfer(a, "aa" * 20, 1, nonce=0),
+            make_transfer(b, "bb" * 20, 1, nonce=99),  # bad nonce
+            make_transfer(c, "cc" * 20, 1, nonce=0),
+        ]
+        _, _, _, receipts = _block_and_schedule_order(txs)
+        assert [r.tx_hash for r in receipts] == [tx.tx_hash for tx in txs]
+        assert [r.success for r in receipts] == [True, False, True]
+        assert receipts[1].error == "bad-nonce"
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           length=st.integers(min_value=1, max_value=40))
+    def test_schedule_order_matches_block_order(self, seed, length):
+        txs = _build_block(seed, length)
+        assert blocks_are_conflict_serialized(txs, coinbase=COINBASE)
+        in_order, block_receipts, scheduled, schedule_receipts = (
+            _block_and_schedule_order(txs)
+        )
+        assert scheduled.state.state_root() == in_order.state.state_root()
+        for position, (want, got) in enumerate(
+            zip(block_receipts, schedule_receipts)
+        ):
+            assert _receipt_key(want) == _receipt_key(got), position
