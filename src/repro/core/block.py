@@ -44,14 +44,18 @@ class BlockCertificate:
         """``derive(P_k)`` of Alg. 2."""
         return derive_address(self.public_key)
 
-    def verify_against(self, txs: Sequence[Transaction]) -> bool:
-        """Check the signature covers exactly these transactions."""
-        return verify(self.public_key, transactions_hash(txs), self.signed_tx_hash)
+    def verify_root(self, tx_root: bytes) -> bool:
+        """Check the signature covers this transactions hash ``h_t``."""
+        return verify(self.public_key, tx_root, self.signed_tx_hash)
 
 
 @dataclass(frozen=True)
 class Block:
-    """One proposer's batch of transactions for a chain index."""
+    """One proposer's batch of transactions for a chain index.
+
+    Immutable, like its transactions, so the derived values below (root,
+    hash, wire size) are computed once per block object.
+    """
 
     proposer_id: int
     index: int
@@ -75,24 +79,48 @@ class Block:
     def __len__(self) -> int:
         return len(self.transactions)
 
+    @cached_property
+    def _encoded_size(self) -> int:
+        return 200 + sum(tx.encoded_size() for tx in self.transactions)
+
     def encoded_size(self) -> int:
         """Wire size: ~200-byte header + transactions."""
-        return 200 + sum(tx.encoded_size() for tx in self.transactions)
+        return self._encoded_size
 
     def header_valid(self) -> bool:
         """The 'invalid header' check of Alg. 1 line 16: a block's
         certificate must exist and must sign exactly its transactions."""
-        return self.certificate is not None and self.certificate.verify_against(
-            self.transactions
+        return self.certificate is not None and self.certificate.verify_root(
+            self.tx_root
         )
+
+    def chained(
+        self, index: int, parent_hash: bytes, kept: tuple[Transaction, ...]
+    ) -> "Block":
+        """The chain's copy of this decided block: re-indexed, linked to
+        its parent, holding the ``kept`` (valid) subsequence of its
+        transactions and still carrying the proposer's certificate."""
+        block = Block(
+            proposer_id=self.proposer_id,
+            index=index,
+            transactions=kept,
+            parent_hash=parent_hash,
+            certificate=self.certificate,
+            round=self.round,
+        )
+        if len(kept) == len(self.transactions):
+            # Nothing filtered out: same transactions, same root.
+            object.__setattr__(block, "tx_root", self.tx_root)
+        return block
 
     def with_certificate(self, keypair: KeyPair) -> "Block":
         """Return a copy certified by the proposer's key pair."""
+        root = self.tx_root
         cert = BlockCertificate(
             public_key=keypair.public,
-            signed_tx_hash=sign(keypair.private, transactions_hash(self.transactions)),
+            signed_tx_hash=sign(keypair.private, root),
         )
-        return Block(
+        certified = Block(
             proposer_id=self.proposer_id,
             index=self.index,
             transactions=self.transactions,
@@ -100,6 +128,9 @@ class Block:
             certificate=cert,
             round=self.round,
         )
+        # Same transactions, same root: hand over the one just signed.
+        object.__setattr__(certified, "tx_root", root)
+        return certified
 
 
 def make_block(

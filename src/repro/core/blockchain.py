@@ -121,13 +121,8 @@ class Blockchain:
                         (block.proposer_id, tx, receipt.error or "invalid")
                     )
             if kept:  # Alg. 1 line 24: only non-empty blocks are appended
-                filtered = Block(
-                    proposer_id=block.proposer_id,
-                    index=self.height + 1,
-                    transactions=tuple(kept),
-                    parent_hash=self.head().block_hash,
-                    certificate=block.certificate,
-                    round=block.round,
+                filtered = block.chained(
+                    self.height + 1, self.head().block_hash, tuple(kept)
                 )
                 self.chain.append(filtered)
                 result.appended_blocks.append(filtered)

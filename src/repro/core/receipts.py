@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.block import Block, BlockCertificate, transactions_hash
+from repro.core.block import Block, BlockCertificate
 from repro.core.transaction import Transaction
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.vm.executor import Receipt

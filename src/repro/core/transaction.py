@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Mapping
 
 from repro import params
@@ -24,6 +25,9 @@ from repro.crypto import (
 )
 
 _tx_counter = itertools.count()
+
+#: the read-only payload shared by every transaction that carries none
+_NO_PAYLOAD: Mapping[str, Any] = MappingProxyType({})
 
 
 class TxType(Enum):
@@ -41,7 +45,8 @@ class Transaction:
     ``payload`` holds type-specific data: the contract bytecode for DEPLOY,
     or ``{"contract", "function", "args"}`` for INVOKE.  ``padding`` inflates
     the encoded size to model realistic byte footprints (and to build
-    oversized transactions in tests).
+    oversized transactions in tests).  It is stored as a read-only view,
+    so the signing digest computed from it can be memoized.
     """
 
     tx_type: TxType
@@ -60,6 +65,12 @@ class Transaction:
     #: unique id to disambiguate otherwise-identical txs in tests
     uid: int = field(default_factory=lambda: next(_tx_counter))
 
+    def __post_init__(self) -> None:
+        # Copies (signed, restamped) share the original's read-only view.
+        if type(self.payload) is not MappingProxyType:
+            view = MappingProxyType(dict(self.payload)) if self.payload else _NO_PAYLOAD
+            object.__setattr__(self, "payload", view)
+
     # -- identity ----------------------------------------------------------
     # Equality and hashing follow the transaction hash (the network-level
     # identity), so sets/dicts of transactions deduplicate like the pool.
@@ -73,7 +84,12 @@ class Transaction:
         return hash(self.tx_hash)
 
     def signing_payload(self) -> bytes:
-        """Canonical bytes covered by the signature (everything but sig)."""
+        """Canonical digest covered by the signature (everything but sig)."""
+        return self.signing_digest
+
+    @cached_property
+    def signing_digest(self) -> bytes:
+        """Digest of every field but the signature, computed once per object."""
         items: list[object] = [
             self.tx_type.value,
             self.sender,
@@ -105,21 +121,11 @@ class Transaction:
     def encoded_size(self) -> int:
         """Approximate wire size in bytes.
 
-        Base envelope (~110 bytes like an Ethereum transfer) + payload
-        + signature + explicit padding.
+        Base envelope (~110 bytes like an Ethereum transfer) + user data
+        (payload + padding) + signature.
         """
-        size = 110 + self.padding
-        for key, value in self.payload.items():
-            size += len(key)
-            if isinstance(value, bytes):
-                size += len(value)
-            elif isinstance(value, str):
-                size += len(value)
-            else:
-                size += len(repr(value))
-        if self.signature is not None:
-            size += self.signature.encoded_size()
-        return size
+        sig = self.signature.encoded_size() if self.signature is not None else 0
+        return 110 + self.data_size() + sig
 
     def data_size(self) -> int:
         """Bytes of user data (payload + padding) — the intrinsic-gas base.
@@ -147,8 +153,8 @@ class Transaction:
 
     def signed_by(self, keypair: KeyPair) -> "Transaction":
         """Return a copy signed by ``keypair`` (sender must match)."""
-        sig = crypto_sign(keypair.private, self.signing_payload())
-        return Transaction(
+        digest = self.signing_payload()
+        signed = Transaction(
             tx_type=self.tx_type,
             sender=self.sender,
             receiver=self.receiver,
@@ -158,11 +164,16 @@ class Transaction:
             gas_price=self.gas_price,
             payload=self.payload,
             public_key=keypair.public,
-            signature=sig,
+            signature=crypto_sign(keypair.private, digest),
             padding=self.padding,
             created_at=self.created_at,
             uid=self.uid,
         )
+        # The signature is not part of the signed payload, so the copy's
+        # digest is the one just signed (frozen dataclass: set it the way
+        # cached_property would).
+        object.__setattr__(signed, "signing_digest", digest)
+        return signed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

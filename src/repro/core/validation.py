@@ -64,7 +64,10 @@ def _fail(code: str) -> ValidationOutcome:
 # many times per process.  Cache *positive* verdicts only, keyed by tx hash,
 # and guard against hash-reuse tampering by storing a fingerprint of every
 # signature-relevant field: a doctored transaction that somehow reuses a
-# cached hash still falls through to the full ``recover_check``.
+# cached hash still falls through to the full ``recover_check``.  The
+# fingerprint reads the transaction's signing digest, which each object
+# computes once from its own (read-only) fields, so a hit costs a tuple
+# compare rather than a re-hash of the transaction.
 
 SIG_CACHE_CAPACITY = 65_536
 

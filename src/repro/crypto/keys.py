@@ -27,6 +27,7 @@ import hashlib
 import hmac
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.crypto.hashing import sha256
 
@@ -43,9 +44,12 @@ class PrivateKey:
         if len(self.raw) != 32:
             raise ValueError("private key must be 32 bytes")
 
-    @property
+    @cached_property
     def verification_key(self) -> bytes:
-        """Key used for the publicly checkable HMAC tag."""
+        """Key used for the publicly checkable HMAC tag.
+
+        Computed once per key, so every signature it makes shares one
+        ``vk`` object."""
         return sha256(b"link|" + self.raw)
 
 
@@ -84,8 +88,10 @@ class KeyPair:
     private: PrivateKey
     public: PublicKey
 
-    @property
+    @cached_property
     def address(self) -> str:
+        """Computed once per key pair, so its transactions share one
+        ``sender`` string."""
         return derive_address(self.public)
 
 

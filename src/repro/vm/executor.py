@@ -149,7 +149,9 @@ class Executor:
 
         # Execution-time checks (i) signature and (ii) size — §IV-D.
         # ``check_signature`` caches positive verdicts, so a tx already
-        # eagerly validated by this process skips the recovery here.
+        # eagerly validated by this process skips the recovery here; the
+        # cache key reads the tx's memoized signing digest, so a hit
+        # hashes nothing.
         if tx.signature is None or tx.public_key is None:
             raise InvalidSignature("unsigned transaction")
         if not check_signature(tx):

@@ -96,6 +96,35 @@ class TestConsensusBatch:
             batch.standalone_size() - batch.approx_size()
         )
 
+    def test_standalone_size_with_blocks_matches_recomputation(self):
+        """RBC traffic carries whole blocks, whose sizes are memoized: the
+        batch's standalone size must equal a from-scratch recount."""
+        from repro.core.block import make_block
+        from repro.core.transaction import make_invoke
+        from repro.crypto.keys import generate_keypair
+
+        kp = generate_keypair(5)
+        txs = [make_invoke(kp, "cc" * 20, "f", (i, "x" * i), nonce=i) for i in range(7)]
+        block = make_block(kp, 0, 1, txs)
+        digest = block.block_hash
+        msgs = (
+            _msg(kind=MsgKind.RBC_SEND, value=block),
+            _msg(kind=MsgKind.RBC_ECHO, value=(digest, block), sender=1),
+            _msg(kind=MsgKind.RBC_READY, value=(digest, None), sender=2),
+            _msg(value=1),
+        )
+        block_bytes = 200 + sum(tx.encoded_size() for tx in txs)
+        from_scratch = (
+            (BASE_MESSAGE_BYTES + block_bytes)
+            + (BASE_MESSAGE_BYTES + len(digest) + block_bytes)
+            + (BASE_MESSAGE_BYTES + len(digest))
+            + (BASE_MESSAGE_BYTES + 1)
+        )
+        for _ in range(2):  # the second batch reads every memo
+            batch = ConsensusBatch(messages=msgs, sender=0)
+            assert batch.standalone_size() == from_scratch
+            assert batch.standalone_size() == from_scratch
+
     def test_bytes_saved_never_negative(self):
         # One huge payload: the batch header could exceed the saving.
         msgs = (_msg(kind=MsgKind.RBC_ECHO, value=(b"\x07" * 32, _Sized(10))),)

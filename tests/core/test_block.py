@@ -52,6 +52,49 @@ class TestBlock:
         b = make_block(kp, 0, 2, _txs(2))
         assert a.block_hash != b.block_hash
 
+    def test_header_check_reuses_cached_root(self, monkeypatch):
+        from repro.core import block as block_mod
+
+        kp = generate_keypair(1)
+        block = make_block(kp, 0, 1, _txs(3))
+        assert "tx_root" in block.__dict__  # handed over by with_certificate
+
+        def recompute(leaves):
+            raise AssertionError("header_valid rebuilt the Merkle root")
+
+        monkeypatch.setattr(block_mod, "merkle_root", recompute)
+        assert block.header_valid()
+        assert block.header_valid()
+
+    def test_certified_root_equals_recomputed_root(self):
+        kp = generate_keypair(1)
+        txs = _txs(5)
+        block = make_block(kp, 0, 1, txs)
+        assert block.tx_root == transactions_hash(txs)
+
+    def test_chained_copy_keeps_root_only_when_nothing_filtered(self):
+        kp = generate_keypair(1)
+        txs = tuple(_txs(4))
+        block = make_block(kp, 0, 1, txs)
+        whole = block.chained(7, b"\x01" * 32, txs)
+        assert whole.__dict__["tx_root"] == transactions_hash(txs)
+        assert (whole.index, whole.parent_hash) == (7, b"\x01" * 32)
+        assert whole.certificate is block.certificate and whole.header_valid()
+        filtered = block.chained(7, b"\x01" * 32, txs[:3])
+        assert "tx_root" not in filtered.__dict__
+        assert filtered.tx_root == transactions_hash(txs[:3])
+        assert not filtered.header_valid()  # certificate covers the original set
+
+    def test_encoded_size_memo_matches_recomputation(self):
+        kp = generate_keypair(1)
+        txs = _txs(6)
+        block = make_block(kp, 0, 1, txs)
+        from_scratch = 200 + sum(tx.encoded_size() for tx in txs)
+        assert block.encoded_size() == from_scratch
+        assert block.encoded_size() == from_scratch  # memoized read
+        fresh = Block(proposer_id=0, index=1, transactions=tuple(txs))
+        assert fresh.encoded_size() == from_scratch
+
     def test_encoded_size(self):
         kp = generate_keypair(1)
         assert make_block(kp, 0, 1, _txs(5)).encoded_size() > make_block(

@@ -38,6 +38,16 @@ class TestKeyGeneration:
         assert len(kp.address) == 40
         int(kp.address, 16)  # parses as hex
 
+    def test_derived_values_computed_once_per_key(self):
+        """A client's transactions share one sender string and one
+        verification key instead of holding a fresh copy each."""
+        kp = generate_keypair(3)
+        assert kp.address is kp.address
+        assert kp.address == derive_address(kp.public)
+        a, b = sign(kp.private, b"one"), sign(kp.private, b"two")
+        assert a.vk is b.vk
+        assert verify(kp.public, b"two", b)
+
 
 class TestSignVerify:
     def test_roundtrip(self):
